@@ -6,7 +6,10 @@ every closed window's sessions are scored through the micro-batched
 engine.  The floor is deliberately far below what CI-class hosts
 measure (typically tens of thousands of events/sec) — it is a
 regression tripwire for someone accidentally making window handling
-quadratic or forcing batch-1 scoring, not a headline number.
+quadratic or forcing batch-1 scoring, not a headline number.  It
+drives the windower and engine only, not ``StreamProcessor``: the
+processor's per-window cost staying O(window) is pinned by
+``tests/stream/test_processor.py::test_checkpoint_holds_no_records``.
 ``benchmarks/results/latest.txt`` records what was measured.
 
 Marked ``smoke``: trains a deliberately tiny CLFD so the whole bench is

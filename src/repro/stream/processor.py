@@ -18,13 +18,20 @@
   archive is hot-swapped into the engine via the rolling ``reload``
   (no dropped scores) and the monitor re-arms against the new model.
 
-Crash posture: after every handled window the processor writes an
-atomic JSON checkpoint (windower + monitor + rng state, next event
-offset, current archive, scored records).  A processor constructed
-with ``resume=True`` picks up from the checkpoint and produces
-bit-identical windows, scores, journal entries and alarms to an
-uninterrupted run — the streaming analogue of the trainer's
-kill-and-resume guarantee (asserted in ``tests/stream/``).
+Crash posture: after every handled window batch the processor
+appends the new scored records to ``records.jsonl`` (one JSON line
+each, one write and a flush) and then writes an atomic JSON checkpoint
+of the O(window) state only: windower + monitor + rng state, next
+event offset, current archive, the last K windows' sessions, and the
+byte lengths of ``records.jsonl`` and ``journal.jsonl`` it covers.  A
+processor constructed with ``resume=True`` cuts both files back to
+those lengths — dropping whatever a killed run appended after its last
+checkpoint, a torn line included — rebuilds the records from
+``records.jsonl`` and produces bit-identical windows, scores, journal
+entries and alarms to an uninterrupted run: the streaming analogue of
+the trainer's kill-and-resume guarantee (asserted in
+``tests/stream/``).  The re-correction fine-tune keeps no snapshots: a
+kill during it replays the whole window from the last checkpoint.
 """
 
 from __future__ import annotations
@@ -86,9 +93,9 @@ class StreamProcessor:
     ----------
     archive: the CLFD archive to serve initially; also the frozen
         baseline :func:`compare_with_frozen` evaluates against.
-    workdir: state directory — ``checkpoint.json``, ``journal.jsonl``,
-        ``archives/`` (re-corrected generations), ``train/``
-        (fine-tune checkpoints).
+    workdir: state directory — ``checkpoint.json``, ``records.jsonl``
+        (scored records, appended per window), ``journal.jsonl`` and
+        ``archives/`` (re-corrected generations).
     config / serve_config: streaming and serving knobs.  The serving
         config is forced to ``include_embeddings=True`` — the centroid
         drift statistic needs the embeddings the engine already
@@ -98,7 +105,10 @@ class StreamProcessor:
         builds its own from the archive.
     seed: seed for the processor's generator (re-correction batching);
         checkpointed, so resumed runs consume the same draws.
-    resume: load ``workdir/checkpoint.json`` and continue from it.
+    resume: load ``workdir/checkpoint.json`` and continue from it;
+        raises ``ValueError`` when ``records.jsonl`` or
+        ``journal.jsonl`` is shorter than the checkpoint covers, or the
+        checkpoint is of the old format that embedded the records.
     """
 
     def __init__(self, archive: str | os.PathLike,
@@ -113,6 +123,8 @@ class StreamProcessor:
         (self.workdir / "archives").mkdir(exist_ok=True)
         self.initial_archive = pathlib.Path(archive)
         self._checkpoint_path = self.workdir / "checkpoint.json"
+        self._records_path = self.workdir / "records.jsonl"
+        journal_path = self.workdir / "journal.jsonl"
 
         c = self.config
         self._windower = SessionWindower(
@@ -134,12 +146,14 @@ class StreamProcessor:
         self._archive = self.initial_archive
         self._recent: list[list[dict]] = []
         self._records: list[dict] = []
+        self._records_saved = 0  # how many of them are in records.jsonl
 
         resumed = resume and self._checkpoint_path.exists()
         if resumed:
-            self._load_checkpoint()
-        self.journal = MetricJournal(self.workdir / "journal.jsonl",
-                                     resume=resumed)
+            self._load_checkpoint(journal_path)
+        else:
+            self._records_path.write_bytes(b"")
+        self.journal = MetricJournal(journal_path, resume=resumed)
 
         self.serve_config = (serve_config or ServeConfig()).replace(
             include_embeddings=True)
@@ -344,7 +358,7 @@ class StreamProcessor:
                 reason="archive has no corrector (quantized?)")
             return None
         generation = self._model_generation + 1
-        run = TrainRun(self.workdir / "train", journal=self.journal,
+        run = TrainRun(None, journal=self.journal,
                        prefix=f"gen{generation}/")
         result = recorrect_model(
             model, sessions, self._rng, generation=generation,
@@ -379,6 +393,11 @@ class StreamProcessor:
     # Checkpointing
     # ------------------------------------------------------------------
     def _save_checkpoint(self) -> None:
+        new = self._records[self._records_saved:]
+        if new:
+            with open(self._records_path, "a") as fh:
+                fh.write("".join(json.dumps(r) + "\n" for r in new))
+            self._records_saved = len(self._records)
         state = {
             "next_offset": self._next_offset,
             "windower": self._windower.state_dict(),
@@ -389,14 +408,21 @@ class StreamProcessor:
             "recorrections": self._recorrections,
             "archive": str(self._archive),
             "recent": self._recent,
-            "records": self._records,
+            "records_count": self._records_saved,
+            "records_bytes": self._records_path.stat().st_size,
+            "journal_bytes": self.journal.path.stat().st_size,
         }
         tmp = self._checkpoint_path.with_suffix(".json.tmp")
         tmp.write_text(json.dumps(state))
         os.replace(tmp, self._checkpoint_path)
 
-    def _load_checkpoint(self) -> None:
+    def _load_checkpoint(self, journal_path: pathlib.Path) -> None:
         state = json.loads(self._checkpoint_path.read_text())
+        if "records" in state:
+            raise ValueError(
+                f"{self._checkpoint_path} embeds its records (the format "
+                f"before records.jsonl); it cannot be resumed, start the "
+                f"stream afresh")
         self._next_offset = int(state["next_offset"])
         self._windower.load_state_dict(state["windower"])
         self._monitor.load_state_dict(state["monitor"])
@@ -406,7 +432,30 @@ class StreamProcessor:
         self._recorrections = int(state["recorrections"])
         self._archive = pathlib.Path(state["archive"])
         self._recent = [list(window) for window in state["recent"]]
-        self._records = [dict(r) for r in state["records"]]
+        # Drop what a killed run appended after this checkpoint: its
+        # records and journal entries are produced again on replay.
+        _cut(journal_path, int(state["journal_bytes"]))
+        _cut(self._records_path, int(state["records_bytes"]))
+        with open(self._records_path, "rb") as fh:
+            self._records = [json.loads(line) for line in fh]
+        self._records_saved = int(state["records_count"])
+        if len(self._records) != self._records_saved:
+            raise ValueError(
+                f"{self._records_path} holds {len(self._records)} records "
+                f"where {self._checkpoint_path} expects "
+                f"{self._records_saved}")
+
+
+def _cut(path: pathlib.Path, length: int) -> None:
+    """Truncate ``path`` to ``length`` bytes; it must hold at least that."""
+    with open(path, "ab") as fh:
+        size = fh.tell()
+        if size < length:
+            raise ValueError(
+                f"{path} is {size} bytes but the checkpoint covers "
+                f"{length}; the stream state is damaged and cannot be "
+                f"resumed")
+        fh.truncate(length)
 
 
 # ----------------------------------------------------------------------
@@ -423,7 +472,10 @@ def compare_with_frozen(records: list[dict],
     (i.e. after the first hot swap), re-scores exactly those sessions
     with the *frozen* archive, and returns both AUCs.  This is the
     smoke-test oracle for "online re-correction helps": same sessions,
-    same ground truth, only the model differs.
+    same ground truth, only the model differs.  The sessions are scored
+    in chunks of at most ``serve_config.max_queue``, so any number fits
+    the engine's queue; padded batches keep every score independent of
+    how the sessions are chunked.
     """
     from ..metrics.classification import auc_roc
 
@@ -437,10 +489,13 @@ def compare_with_frozen(records: list[dict],
     live = np.asarray([r["score"] for r in post], dtype=np.float64)
     config = (serve_config or ServeConfig()).replace(
         include_embeddings=False)
+    payloads = [{"activities": r["activities"],
+                 "session_id": r["session_id"]} for r in post]
+    results = []
     with InferenceEngine.from_archive(frozen_archive, config) as engine:
-        results = engine.score_many(
-            [{"activities": r["activities"],
-              "session_id": r["session_id"]} for r in post])
+        for start in range(0, len(payloads), config.max_queue):
+            results += engine.score_many(
+                payloads[start:start + config.max_queue])
     frozen = np.asarray([r.score for r in results], dtype=np.float64)
     return {
         "n_sessions": len(post),

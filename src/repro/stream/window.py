@@ -54,7 +54,9 @@ class StreamSession:
     end_offset: int
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        # Shallow: every field is immutable, so nothing needs copying.
+        return {f.name: getattr(self, f.name)
+                for f in dataclasses.fields(self)}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "StreamSession":

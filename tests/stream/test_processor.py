@@ -9,7 +9,11 @@ These are the ISSUE's acceptance criteria as executable checks:
   AUC (archetype drift — noise-only drift has no behaviour shift to
   re-learn, so there we only require detection);
 * a killed-and-resumed stream reproduces the uninterrupted run bit for
-  bit: records, journal entries and re-corrected archive bytes;
+  bit: records, journal entries and re-corrected archive bytes — also
+  when the kill lands between a window's journal entry and its
+  checkpoint, or leaves a torn line in ``records.jsonl``;
+* ``checkpoint.json`` holds O(window) state; the records live in the
+  append-only ``records.jsonl``;
 * quantized archives (no corrector) skip re-correction gracefully.
 """
 
@@ -18,7 +22,9 @@ import json
 import numpy as np
 import pytest
 
+from repro.serve import ServeConfig
 from repro.stream import StreamProcessor, compare_with_frozen, write_events
+from repro.train import deterministic_entries
 
 from .conftest import DRIFT_WINDOW, SERVE_CONFIG, STREAM_CONFIG, \
     drifting_events
@@ -141,6 +147,140 @@ def test_kill_and_resume_is_bit_identical(stream_archive, tmp_path):
         clean_bytes = (clean_dir / "archives" / name).read_bytes()
         resumed_bytes = (resumed_dir / "archives" / name).read_bytes()
         assert clean_bytes == resumed_bytes, f"{name} differs"
+
+
+@pytest.fixture(scope="module")
+def clean_stream(stream_archive, tmp_path_factory):
+    """One uninterrupted run over a logged drifting stream."""
+    root = tmp_path_factory.mktemp("clean-stream")
+    log = write_events(root / "events.jsonl", drifting_events())
+    with StreamProcessor(stream_archive, root / "clean",
+                         config=STREAM_CONFIG,
+                         serve_config=SERVE_CONFIG) as proc:
+        proc.run_log(log)
+        assert proc.model_generation >= 1
+        return log, root / "clean", proc.records
+
+
+def _assert_same_run(workdir, clean_dir, records, clean_records):
+    assert records == clean_records
+    assert ((workdir / "records.jsonl").read_bytes()
+            == (clean_dir / "records.jsonl").read_bytes())
+    assert _window_entries(workdir) == _window_entries(clean_dir)
+    assert (deterministic_entries(workdir / "journal.jsonl")
+            == deterministic_entries(clean_dir / "journal.jsonl"))
+    names = sorted(p.name for p in (clean_dir / "archives").iterdir())
+    assert names == sorted(p.name for p in (workdir / "archives").iterdir())
+    for name in names:
+        assert ((workdir / "archives" / name).read_bytes()
+                == (clean_dir / "archives" / name).read_bytes()), name
+
+
+def test_checkpoint_holds_no_records(clean_stream):
+    _, clean_dir, clean_records = clean_stream
+    state = json.loads((clean_dir / "checkpoint.json").read_text())
+    # O(window) state only: no field grows with the records.
+    assert set(state) == {
+        "next_offset", "windower", "monitor", "rng", "windows_processed",
+        "model_generation", "recorrections", "archive", "recent",
+        "records_count", "records_bytes", "journal_bytes"}
+    assert len(state["recent"]) <= STREAM_CONFIG.recorrect_windows
+    assert state["records_count"] == len(clean_records)
+    records_path = clean_dir / "records.jsonl"
+    assert state["records_bytes"] == records_path.stat().st_size
+    with open(records_path) as fh:
+        assert [json.loads(line) for line in fh] == clean_records
+
+
+class _Killed(BaseException):
+    """A kill that no ``except Exception`` in the program can swallow."""
+
+
+@pytest.mark.parametrize("kill_at", [3, 6, 7])
+def test_kill_before_checkpoint_journals_no_window_twice(
+        stream_archive, clean_stream, tmp_path, monkeypatch, kill_at):
+    # The kill lands after window ``kill_at - 1`` is journaled (and, at
+    # 7, re-corrected) but before its checkpoint is written.
+    log, clean_dir, clean_records = clean_stream
+    save = StreamProcessor._save_checkpoint
+    calls = []
+
+    def dying_save(self):
+        calls.append(self.windows_processed)
+        if len(calls) == kill_at:
+            raise _Killed
+        save(self)
+
+    workdir = tmp_path / "w"
+    with monkeypatch.context() as patch:
+        patch.setattr(StreamProcessor, "_save_checkpoint", dying_save)
+        with pytest.raises(_Killed):
+            with StreamProcessor(stream_archive, workdir,
+                                 config=STREAM_CONFIG,
+                                 serve_config=SERVE_CONFIG) as proc:
+                proc.run_log(log)
+    assert calls == list(range(1, kill_at + 1))
+    if kill_at == 7:
+        assert (workdir / "archives" / "model-gen1.npz").exists()
+
+    with StreamProcessor(stream_archive, workdir, config=STREAM_CONFIG,
+                         serve_config=SERVE_CONFIG, resume=True) as proc:
+        assert proc.windows_processed == kill_at - 1
+        proc.run_log(log)
+        records = proc.records
+    _assert_same_run(workdir, clean_dir, records, clean_records)
+
+
+def test_torn_records_tail_is_dropped_on_resume(stream_archive,
+                                                 clean_stream, tmp_path):
+    log, clean_dir, clean_records = clean_stream
+    workdir = tmp_path / "w"
+    with StreamProcessor(stream_archive, workdir, config=STREAM_CONFIG,
+                         serve_config=SERVE_CONFIG) as proc:
+        proc.run_log(log, max_windows=4, flush=False)
+    # A crash mid-append leaves a partial line after the checkpoint.
+    with open(workdir / "records.jsonl", "ab") as fh:
+        fh.write(b'{"window": 4, "session_id": "u1/0", "activ')
+    with StreamProcessor(stream_archive, workdir, config=STREAM_CONFIG,
+                         serve_config=SERVE_CONFIG, resume=True) as proc:
+        proc.run_log(log)
+        records = proc.records
+    _assert_same_run(workdir, clean_dir, records, clean_records)
+
+
+def test_resume_refuses_damaged_or_old_state(stream_archive, clean_stream,
+                                             tmp_path):
+    log, _, _ = clean_stream
+    workdir = tmp_path / "w"
+    with StreamProcessor(stream_archive, workdir, config=STREAM_CONFIG,
+                         serve_config=SERVE_CONFIG) as proc:
+        proc.run_log(log, max_windows=3, flush=False)
+    records_path = workdir / "records.jsonl"
+    intact = records_path.read_bytes()
+    records_path.write_bytes(intact[:-10])
+    with pytest.raises(ValueError, match="cannot be resumed"):
+        StreamProcessor(stream_archive, workdir, config=STREAM_CONFIG,
+                        serve_config=SERVE_CONFIG, resume=True)
+    records_path.write_bytes(intact)
+
+    checkpoint = workdir / "checkpoint.json"
+    state = json.loads(checkpoint.read_text())
+    state["records"] = []
+    checkpoint.write_text(json.dumps(state))
+    with pytest.raises(ValueError, match="records.jsonl"):
+        StreamProcessor(stream_archive, workdir, config=STREAM_CONFIG,
+                        serve_config=SERVE_CONFIG, resume=True)
+
+
+def test_compare_with_frozen_scores_past_the_queue_bound(stream_archive,
+                                                         clean_stream):
+    _, _, records = clean_stream
+    small = compare_with_frozen(records, stream_archive,
+                                ServeConfig(verbose=False, max_queue=8))
+    large = compare_with_frozen(records, stream_archive,
+                                ServeConfig(verbose=False, max_queue=4096))
+    assert small["n_sessions"] > 8
+    assert small == large
 
 
 def test_quantized_archive_skips_recorrection(stream_archive, tmp_path):

@@ -1,10 +1,11 @@
 """Session assembly and window emission, including replay determinism."""
 
+import dataclasses
 import json
 
 import pytest
 
-from repro.stream import Event, SessionWindower
+from repro.stream import Event, SessionWindower, StreamSession
 
 
 def _event(t, entity="u0", activity="a", offset=-1):
@@ -120,3 +121,16 @@ def test_checkpoint_resume_is_bit_identical(split_at):
         windows.extend(resumed.process(event))
     windows.extend(resumed.flush())
     assert windows == baseline
+
+
+def test_stream_session_dict_round_trip():
+    windower = SessionWindower(window_size=10.0, session_gap=2.0)
+    events = [_event(0.0, activity="x", offset=0),
+              _event(1.0, activity="y", offset=1)]
+    (session,) = [s for w in _stream(windower, events) for s in w.sessions]
+    payload = session.to_dict()
+    assert StreamSession.from_dict(payload) == session
+    # The shallow dict serialises exactly as the deep-copying asdict.
+    assert json.dumps(payload) == json.dumps(dataclasses.asdict(session))
+    assert StreamSession.from_dict(json.loads(json.dumps(payload))) \
+        == session
